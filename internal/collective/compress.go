@@ -56,24 +56,6 @@ func ParseCompression(s string) (Compression, error) {
 	return CompressNone, fmt.Errorf("collective: unknown compression %q (none|fp16|topk)", s)
 }
 
-// FP16Allreduce runs the fp16-compressed chunk-pipelined ring; it is a
-// horovod.Config.AllreduceFn.
-func FP16Allreduce(c *mpi.Comm, buf []float32) error {
-	c.AllreduceSumFP16(buf)
-	return nil
-}
-
-// NodeAwareAllreduce returns an AllreduceFn running the two-level
-// node-aware reduction (intra-node reduce, leader ring, intra-node
-// broadcast) over the communicator's topology, with an optionally
-// fp16-compressed inter-node wire.
-func NodeAwareAllreduce(fp16 bool) func(c *mpi.Comm, buf []float32) error {
-	return func(c *mpi.Comm, buf []float32) error {
-		c.AllreduceSumNodeAware(buf, fp16)
-		return nil
-	}
-}
-
 // TopK is one rank's top-k sparsified allreduce state: compression ratio,
 // per-buffer error-feedback residuals, and reusable scratch. Create one
 // per rank (NewTopK) and install its Allreduce as the engine's
@@ -189,34 +171,22 @@ func idxWord(payload []float32, j int) uint32 {
 	return math.Float32bits(payload[1+j])
 }
 
-// NewAllreduceFn builds the engine AllreduceFn for a variant; nil means
-// "use the backend default" (exact ring), which is what the engine does
-// with a nil fn. topkRatio only applies to CompressTopK.
-func NewAllreduceFn(kind Compression, topkRatio int) func(c *mpi.Comm, buf []float32) error {
-	switch kind {
-	case CompressFP16:
-		return FP16Allreduce
-	case CompressTopK:
-		return NewTopK(topkRatio).Allreduce
-	default:
-		return nil
-	}
-}
-
 // NewAllreduceFnByName resolves a CLI variant name — none, fp16, topk,
-// hier, hier-fp16 — to an engine AllreduceFn (nil for none). The hier
-// variants run the node-aware two-level reduction and honor the world's
-// SetGPUsPerNode topology.
+// hier, hier-fp16 — to an engine AllreduceFn. "none" (or "") is nil,
+// which the engine runs as its exact backend ring; topkRatio only applies
+// to topk. The hier variants run the node-aware two-level reduction over
+// the world's SetGPUsPerNode topology.
 func NewAllreduceFnByName(name string, topkRatio int) (func(c *mpi.Comm, buf []float32) error, error) {
 	switch name {
-	case "hier":
-		return NodeAwareAllreduce(false), nil
-	case "hier-fp16":
-		return NodeAwareAllreduce(true), nil
+	case "", "none":
+		return nil, nil
+	case "fp16":
+		return func(c *mpi.Comm, buf []float32) error { c.AllreduceSumFP16(buf); return nil }, nil
+	case "topk":
+		return NewTopK(topkRatio).Allreduce, nil
+	case "hier", "hier-fp16":
+		fp16 := name == "hier-fp16"
+		return func(c *mpi.Comm, buf []float32) error { c.AllreduceSumNodeAware(buf, fp16); return nil }, nil
 	}
-	kind, err := ParseCompression(name)
-	if err != nil {
-		return nil, err
-	}
-	return NewAllreduceFn(kind, topkRatio), nil
+	return nil, fmt.Errorf("collective: unknown allreduce variant %q (none|fp16|topk|hier|hier-fp16)", name)
 }

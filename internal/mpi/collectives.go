@@ -103,7 +103,7 @@ func (c *Comm) AllreduceSum(buf []float32, algo AllreduceAlgo) {
 	start := time.Now()
 	switch algo {
 	case AlgoRing:
-		c.ringAllreduce(buf, sumInto)
+		c.ring(buf, c.world.size, 1, false)
 	case AlgoRecursiveDoubling:
 		c.recursiveDoubling(buf, sumInto)
 	case AlgoNaive:
@@ -146,80 +146,105 @@ func minInto(dst, src []float32) { tensor.VecMin(dst, src) }
 // in-flight pieces.
 var ringChunkElems = 64 << 10
 
-// SetRingChunkElems overrides the pipelined ring's sub-chunk granularity
-// (in float32 elements) and returns the previous value. Benchmarks use it
-// to sweep the pipeline depth; values < 1 panic.
-func SetRingChunkElems(n int) int {
-	if n < 1 {
-		panic("mpi: ring chunk must be >= 1 element")
-	}
-	old := ringChunkElems
-	ringChunkElems = n
-	return old
-}
-
-// ringAllreduce implements reduce-scatter + allgather over a logical ring:
-// bandwidth-optimal (each rank sends 2·(p−1)/p of the buffer).
+// ring sum-allreduces buf over the size ranks {0, stride, …, (size−1)·stride}
+// (stride 1 is the flat ring; stride = GPUs per node is the node-leader
+// ring), as reduce-scatter + allgather: bandwidth-optimal, each member
+// sends 2·(size−1)/size of the buffer.
 //
 // Both phases are chunk-pipelined: every per-step ring chunk is processed
-// in sub-chunks of ringChunkElems, and each sub-chunk is forwarded to the
-// next rank the moment it is reduced (or received, in the allgather), so
-// downstream transport of sub-chunk k overlaps local reduction of
-// sub-chunk k+1. Sub-chunks of one step share a tag; per-(src, tag) FIFO
-// ordering keeps them in sequence. The only buffer is a per-Comm scratch
-// of one sub-chunk.
-func (c *Comm) ringAllreduce(buf []float32, op func(dst, src []float32)) {
-	p := c.world.size
-	if p == 1 {
-		return
-	}
+// in sub-chunks of ringChunkElems, and each sub-chunk is forwarded the
+// moment it is reduced (or received, in the allgather), so downstream
+// transport of sub-chunk k overlaps local reduction of sub-chunk k+1.
+// Sub-chunks of one step share a tag; per-(src, tag) FIFO ordering keeps
+// them in sequence.
+//
+// The fp16 wire packs every hop's payload into binary16 pairs (half the
+// bytes); the receiver unpacks and accumulates in full float32, so partial
+// sums are re-quantized at each of the size−1 reduce-scatter hops — the
+// numerics of Horovod's fp16 compressor on a ring. Each chunk's owner
+// adopts its final packed bits, and the allgather forwards those bits
+// untouched, so every member decodes identical values. A ring of one
+// still rounds through fp16, for parity with the multi-rank result.
+//
+// The only buffers are per-Comm scratch of one sub-chunk (and its packed
+// form): the steady state allocates nothing.
+func (c *Comm) ring(buf []float32, size, stride int, fp16 bool) {
 	n := len(buf)
-	if n == 0 {
+	if size == 1 || n == 0 {
+		if fp16 {
+			tensor.QuantizeHalf(buf)
+		}
 		return
 	}
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-	// Chunk i covers [i·n/p, (i+1)·n/p); bounds are computed, not stored.
+	me := c.rank / stride
+	next := (me + 1) % size * stride
+	prev := (me + size - 1) % size * stride
+	// Chunk i covers [i·n/size, (i+1)·n/size); bounds are computed, not stored.
 	chunk := func(i int) []float32 {
-		i = ((i % p) + p) % p
-		return buf[i*n/p : (i+1)*n/p]
+		i = (i%size + size) % size
+		return buf[i*n/size : (i+1)*n/size]
 	}
 	cs := ringChunkElems
-	tmp := c.tmpScratch(min(cs, (n+p-1)/p))
-
-	// Prime the pipeline: step 0's traffic is this rank's own chunk,
-	// which needs no reduction first.
-	own := chunk(c.rank)
-	for lo := 0; lo < len(own); lo += cs {
-		c.Send(next, tagRing, own[lo:min(lo+cs, len(own))])
+	sub := min(cs, (n+size-1)/size)
+	tmp := c.tmpScratch(sub)
+	tag := tagRing
+	var wire []float32
+	if fp16 {
+		tag = tagFP16
+		wire = c.wireScratch(tensor.HalfWords(sub))
 	}
-	// Reduce-scatter: at step s this rank accumulates into chunk
-	// (rank−s−1); after p−1 steps, rank r owns the full sum of chunk
-	// (r+1) mod p. Each reduced sub-chunk is sent onward immediately —
-	// the last step's sub-chunks bridge straight into the allgather.
-	for step := 0; step < p-1; step++ {
-		rc := chunk(c.rank - step - 1)
-		for lo := 0; lo < len(rc); lo += cs {
-			hi := min(lo+cs, len(rc))
-			t := tmp[:hi-lo]
-			c.Recv(prev, tagRing+step, t)
-			op(rc[lo:hi], t)
-			if step < p-2 {
-				c.Send(next, tagRing+step+1, rc[lo:hi])
-			} else {
-				c.Send(next, tagRing+p, rc[lo:hi])
-			}
+	// encode returns the message that carries x: x itself on the exact
+	// wire, its packed halves on the fp16 wire.
+	encode := func(x []float32) []float32 {
+		if !fp16 {
+			return x
 		}
+		w := wire[:tensor.HalfWords(len(x))]
+		tensor.PackHalf(w, x)
+		return w
 	}
-	// Allgather: circulate the completed chunks; received sub-chunks land
-	// directly in place and are forwarded before the next one is awaited.
-	for step := 0; step < p-1; step++ {
-		rc := chunk(c.rank - step)
+
+	// Prime the pipeline: step 0's traffic is this member's own chunk,
+	// which needs no reduction first.
+	own := chunk(me)
+	for lo := 0; lo < len(own); lo += cs {
+		c.Send(next, tag, encode(own[lo:min(lo+cs, len(own))]))
+	}
+	// Steps [0, size−1) reduce-scatter: step s accumulates into chunk
+	// me−s−1, and after the last one this member owns the full sum of
+	// chunk me+1. Steps [size−1, 2·size−2) allgather the finished chunks
+	// straight into place; modulo size, step s's chunk is again me−s−1.
+	last := 2*size - 3
+	for step := 0; step <= last; step++ {
+		rc := chunk(me - step - 1)
+		reduce := step < size-1
 		for lo := 0; lo < len(rc); lo += cs {
-			hi := min(lo+cs, len(rc))
-			c.Recv(prev, tagRing+p+step, rc[lo:hi])
-			if step < p-2 {
-				c.Send(next, tagRing+p+step+1, rc[lo:hi])
+			x := rc[lo:min(lo+cs, len(rc))]
+			// The reduce-scatter decodes into scratch and accumulates;
+			// the allgather decodes straight into x.
+			in := x
+			if reduce {
+				in = tmp[:len(x)]
+			}
+			msg := in
+			if fp16 {
+				msg = wire[:tensor.HalfWords(len(x))]
+			}
+			c.Recv(prev, tag+step, msg)
+			if fp16 {
+				tensor.UnpackHalf(in, msg)
+			}
+			if reduce {
+				sumInto(x, in)
+				msg = encode(x)
+				if fp16 && step == size-2 {
+					// The owner adopts its chunk's final packed bits.
+					tensor.UnpackHalf(x, msg)
+				}
+			}
+			// The allgather forwards the received message untouched.
+			if step < last {
+				c.Send(next, tag+step+1, msg)
 			}
 		}
 	}

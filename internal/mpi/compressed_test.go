@@ -98,25 +98,25 @@ func TestAllreduceSumFP16QuantizedClose(t *testing.T) {
 // ring chunks) — the same sweep the uncompressed ring is pinned by.
 func TestAllreduceSumFP16ChunkSweep(t *testing.T) {
 	for _, cs := range []int{1, 3, 8, 1024} {
-		old := SetRingChunkElems(cs)
-		for _, size := range []int{2, 3, 5} {
-			for _, n := range []int{1, 13, 257} {
-				seed := func(rank, i int) float32 { return float32((rank*3+i)%11 - 5) }
-				got := runAllRanks(t, size, n, seed, func(c *Comm, buf []float32) {
-					c.AllreduceSumFP16(buf)
-				})
-				for i := 0; i < n; i++ {
-					var want float32
-					for r := 0; r < size; r++ {
-						want += seed(r, i)
-					}
-					if got[0][i] != want {
-						t.Fatalf("cs=%d size=%d n=%d elem=%d: got %g want %g", cs, size, n, i, got[0][i], want)
+		withRingChunk(cs, func() {
+			for _, size := range []int{2, 3, 5} {
+				for _, n := range []int{1, 13, 257} {
+					seed := func(rank, i int) float32 { return float32((rank*3+i)%11 - 5) }
+					got := runAllRanks(t, size, n, seed, func(c *Comm, buf []float32) {
+						c.AllreduceSumFP16(buf)
+					})
+					for i := 0; i < n; i++ {
+						var want float32
+						for r := 0; r < size; r++ {
+							want += seed(r, i)
+						}
+						if got[0][i] != want {
+							t.Fatalf("cs=%d size=%d n=%d elem=%d: got %g want %g", cs, size, n, i, got[0][i], want)
+						}
 					}
 				}
 			}
-		}
-		SetRingChunkElems(old)
+		})
 	}
 }
 
@@ -160,6 +160,80 @@ func TestAllreduceSumNodeAware(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestHierarchicalAllreduce runs the exact two-level allreduce over node
+// widths that divide, exceed and straggle the world size.
+func TestHierarchicalAllreduce(t *testing.T) {
+	for _, tc := range []struct{ size, group int }{
+		{8, 4}, {8, 2}, {8, 8}, {8, 1}, {6, 4}, {12, 4}, {5, 2}, {4, 3},
+	} {
+		w := NewWorld(tc.size)
+		w.SetGPUsPerNode(tc.group)
+		var mu sync.Mutex
+		results := make([][]float32, tc.size)
+		if err := w.Run(func(c *Comm) {
+			buf := make([]float32, 13)
+			for i := range buf {
+				buf[i] = float32(c.Rank()*13 + i)
+			}
+			c.AllreduceSumNodeAware(buf, false)
+			mu.Lock()
+			results[c.Rank()] = buf
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for r, buf := range results {
+			for i, v := range buf {
+				var want float32
+				for rr := 0; rr < tc.size; rr++ {
+					want += float32(rr*13 + i)
+				}
+				if math.Abs(float64(v-want)) > 1e-2 {
+					t.Fatalf("size=%d group=%d rank=%d elem=%d: %g want %g",
+						tc.size, tc.group, r, i, v, want)
+				}
+			}
+		}
+	}
+}
+
+// TestHierarchicalMatchesRing: the exact two-level allreduce agrees with
+// the flat ring on 8 ranks, 4 per node.
+func TestHierarchicalMatchesRing(t *testing.T) {
+	const size = 8
+	run := func(hier bool) []float32 {
+		w := NewWorld(size)
+		w.SetGPUsPerNode(4)
+		var out []float32
+		var mu sync.Mutex
+		if err := w.Run(func(c *Comm) {
+			buf := make([]float32, 100)
+			for i := range buf {
+				buf[i] = float32(c.Rank()) * 0.25 * float32(i%7)
+			}
+			if hier {
+				c.AllreduceSumNodeAware(buf, false)
+			} else {
+				c.AllreduceSum(buf, AlgoRing)
+			}
+			if c.Rank() == 0 {
+				mu.Lock()
+				out = buf
+				mu.Unlock()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a, b := run(true), run(false)
+	for i := range a {
+		if math.Abs(float64(a[i]-b[i])) > 1e-3 {
+			t.Fatalf("element %d: hierarchical %g vs ring %g", i, a[i], b[i])
 		}
 	}
 }

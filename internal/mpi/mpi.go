@@ -262,8 +262,8 @@ func (w *World) Run(fn func(c *Comm)) error {
 // Comm is one rank's handle on the world.
 //
 // A Comm is a single-goroutine object for reducing collectives: the
-// allreduce family, Reduce, and ReduceScatterBlock share the per-Comm
-// scratch buffers below and must not run concurrently on one Comm.
+// allreduce family shares the per-Comm scratch buffers below and must not
+// run concurrently on one Comm.
 // Point-to-point Send/Recv, Bcast, and Barrier are scratch-free, so a
 // background engine may negotiate on its own collectives while the
 // owning goroutine broadcasts (the Horovod startup pattern). Distinct
@@ -278,13 +278,12 @@ type Comm struct {
 	// land on the right timeline track.
 	Tracer Tracer
 
-	// scrTmp receives chunks inside the allreduce algorithms; scrWork is
-	// the secondary buffer of the two-buffer collectives (Reduce's
-	// accumulator copy, ReduceScatterBlock's working copy). Both grow to
-	// the largest message seen and are reused, so the reduction path is
+	// scrTmp receives chunks inside the allreduce algorithms; scrWire
+	// holds the fp16 ring's packed wire words. Both grow to the largest
+	// message seen and are reused, so the reduction path is
 	// allocation-free in steady state.
 	scrTmp  []float32
-	scrWork []float32
+	scrWire []float32
 }
 
 // tmpScratch returns the per-Comm receive scratch with at least n
@@ -296,13 +295,12 @@ func (c *Comm) tmpScratch(n int) []float32 {
 	return c.scrTmp[:n]
 }
 
-// workScratch returns the per-Comm secondary work buffer with at least n
-// elements.
-func (c *Comm) workScratch(n int) []float32 {
-	if cap(c.scrWork) < n {
-		c.scrWork = make([]float32, n)
+// wireScratch returns the per-Comm wire buffer with at least n elements.
+func (c *Comm) wireScratch(n int) []float32 {
+	if cap(c.scrWire) < n {
+		c.scrWire = make([]float32, n)
 	}
-	return c.scrWork[:n]
+	return c.scrWire[:n]
 }
 
 // Fork returns a new communicator handle for the same rank with

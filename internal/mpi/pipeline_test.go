@@ -10,23 +10,14 @@ import (
 // (1-element sub-chunks, sub-chunks larger than any ring chunk).
 func TestRingChunkPipelineSweep(t *testing.T) {
 	for _, cs := range []int{1, 3, 8, 1024} {
-		old := SetRingChunkElems(cs)
-		for _, size := range []int{2, 3, 5, 8} {
-			for _, n := range []int{1, 13, 100, 257} {
-				allreduceCase(t, size, n, AlgoRing)
+		withRingChunk(cs, func() {
+			for _, size := range []int{2, 3, 5, 8} {
+				for _, n := range []int{1, 13, 100, 257} {
+					allreduceCase(t, size, n, AlgoRing)
+				}
 			}
-		}
-		SetRingChunkElems(old)
+		})
 	}
-}
-
-func TestSetRingChunkElemsValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for chunk < 1")
-		}
-	}()
-	SetRingChunkElems(0)
 }
 
 // TestAllreduceSteadyStateZeroAlloc pins the zero-alloc contract of the

@@ -318,14 +318,8 @@ func elasticRankLoop(cfg ElasticConfig, c *mpi.Comm, st *elasticState, out *rank
 		out.err = err
 		return
 	}
-	fth := cfg.FusionThresholdBytes
-	if tcfg.Compression == "topk" {
-		// Top-k error feedback needs stable per-tensor buffers (see
-		// Config.fusionThreshold); unfused also keeps runs deterministic.
-		fth = 1
-	}
 	engine := horovod.NewEngine(engineComm(tcfg, c), horovod.Config{
-		FusionThresholdBytes: fth,
+		FusionThresholdBytes: tcfg.fusionThreshold(cfg.FusionThresholdBytes),
 		CycleTime:            0, // in-process ranks negotiate eagerly
 		Average:              true,
 		Algo:                 mpi.AlgoRing,

@@ -113,13 +113,14 @@ func (c Config) newAllreduceFn() (func(*mpi.Comm, []float32) error, error) {
 // fusionThreshold returns the engine fusion threshold the compression
 // variant requires. Top-k needs unfused reductions: its error-feedback
 // residuals are keyed by buffer identity, so every tensor must reduce in
-// its own stable registered buffer, not a recycled fusion buffer. The
-// other variants keep Horovod's 64 MB default.
-func (c Config) fusionThreshold() int64 {
+// its own stable registered buffer, not a recycled fusion buffer (unfused
+// also keeps its runs deterministic). The other variants keep the
+// caller's threshold.
+func (c Config) fusionThreshold(threshold int64) int64 {
 	if c.Compression == "topk" {
 		return 1
 	}
-	return 64 << 20
+	return threshold
 }
 
 // Stats summarizes a completed run.
@@ -181,7 +182,7 @@ func TrainDistributed(cfg Config, worldSize int) (*models.EDSR, Stats, error) {
 	if err := world.Run(func(c *mpi.Comm) {
 		fn, _ := cfg.newAllreduceFn() // validated above; fresh state per rank
 		engine := horovod.NewEngine(engineComm(cfg, c), horovod.Config{
-			FusionThresholdBytes: cfg.fusionThreshold(),
+			FusionThresholdBytes: cfg.fusionThreshold(64 << 20),
 			CycleTime:            0, // in-process ranks negotiate eagerly
 			Average:              true,
 			Algo:                 mpi.AlgoRing,

@@ -57,7 +57,7 @@ echo "== tier 2: zero-allocation steady-state gates"
 go test -run 'ZeroAlloc|NoAllocs' -v ./internal/mpi/ ./internal/nn/ ./internal/tensor/ ./internal/trace/ ./internal/serve/ ./internal/collective/ | grep -E '^(--- (PASS|FAIL)|ok|FAIL)'
 
 echo "== tier 2: compression gate (fp16/top-k/hierarchical allreduce + convergence envelopes + engine error path under race)"
-go test -race -run 'Compress|FP16|TopK|Hier|Convergence|AllreduceFn|Half' \
+go test -race -run 'Compress|FP16|TopK|Hier|NodeAware|AllreduceGoldenBits|Convergence|AllreduceFn|Half' \
     ./internal/mpi/ ./internal/collective/ ./internal/horovod/ ./internal/tensor/
 
 echo "== tier 2: fuzz smoke (top-k sparse payload codec)"
