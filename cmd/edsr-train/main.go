@@ -1,18 +1,25 @@
 // Command edsr-train trains an EDSR super-resolution model for real on
 // the CPU — single-process or data-parallel across in-process MPI ranks —
 // on the synthetic DIV2K-like dataset, then evaluates PSNR against the
-// bicubic baseline and optionally saves a checkpoint.
+// bicubic baseline.
 //
 // Usage:
 //
 //	edsr-train [-ranks N] [-steps N] [-batch N] [-patch N] [-scale 2|3|4]
 //	           [-blocks N] [-feats N] [-lr 1e-3] [-checkpoint path] [-eval N]
 //
-// Fault-tolerant multi-rank runs (crash-safe checkpoints, elastic
-// restart) add:
+// Checkpointed runs write the full training state (parameters, Adam
+// moments, loader streams) to -checkpoint after the last step and every
+// -ckpt-every steps, and resume from it at any rank count; -steps is the
+// total step count, so a resumed run trains the remainder:
+//
+//	edsr-train -steps 100 -checkpoint ck.gob
+//	edsr-train -steps 200 -resume ck.gob
+//
+// Fault-tolerant multi-rank runs (elastic restart) add:
 //
 //	edsr-train -ranks 4 -checkpoint ck.gob -ckpt-every 10 \
-//	           [-inject-fault rank@step] [-recv-timeout 2s] [-resume ck.gob]
+//	           [-inject-fault rank@step] [-recv-timeout 2s]
 //
 // Observability (tracing and live metrics):
 //
@@ -71,7 +78,7 @@ func parseFaultSpec(s string) (mpi.FaultPlan, error) {
 func main() {
 	arch := flag.String("arch", "edsr", "architecture: edsr, srcnn, srresnet, or fsrcnn (non-edsr train single-process)")
 	ranks := flag.Int("ranks", 1, "data-parallel worker count")
-	steps := flag.Int("steps", 200, "training steps")
+	steps := flag.Int("steps", 200, "training steps in total (a resumed run trains the remainder)")
 	batch := flag.Int("batch", 4, "batch size per rank (paper: 4)")
 	patch := flag.Int("patch", 12, "LR patch size in pixels")
 	scale := flag.Int("scale", 2, "super-resolution factor (paper: 2)")
@@ -81,12 +88,11 @@ func main() {
 	images := flag.Int("images", 64, "synthetic dataset size (DIV2K: 800)")
 	size := flag.Int("size", 48, "synthetic HR image edge in pixels")
 	evalN := flag.Int("eval", 4, "held-out images for PSNR evaluation")
-	checkpoint := flag.String("checkpoint", "", "path to save the trained model")
-	state := flag.String("state", "", "path to save full training state (resumable; single-rank EDSR only)")
-	resume := flag.String("resume", "", "resume from a training state saved with -state")
+	checkpoint := flag.String("checkpoint", "", "write the full training state here after the last step (resumable; read by sr-serve)")
+	resume := flag.String("resume", "", "resume from (and keep checkpointing to) a training state written by -checkpoint")
 	benchsets := flag.Bool("benchsets", false, "evaluate on the standard benchmark sets after training")
 	logEvery := flag.Int("log", 20, "log every N steps")
-	ckptEvery := flag.Int("ckpt-every", 0, "multi-rank: write a distributed checkpoint to -checkpoint every N steps")
+	ckptEvery := flag.Int("ckpt-every", 0, "also write the training state to -checkpoint every N steps")
 	injectFault := flag.String("inject-fault", "", "multi-rank: crash injection \"rank@step\" (fault-tolerance experiments)")
 	recvTimeout := flag.Duration("recv-timeout", 0, "multi-rank: failure-detection deadline for receives (0 disables)")
 	maxRestarts := flag.Int("max-restarts", 2, "multi-rank: elastic restarts allowed after rank failures")
@@ -183,61 +189,20 @@ func main() {
 		return
 	}
 
-	if *state != "" && *ranks != 1 {
-		fmt.Fprintln(os.Stderr, "-state supports single-rank training only (multi-rank: -checkpoint with -ckpt-every)")
+	// Checkpointed, resumed and fault-injected runs go through the
+	// elastic driver at any rank count; plain runs report full stats.
+	ckptPath := *checkpoint
+	if *resume != "" {
+		ckptPath = *resume
+	}
+	if ckptPath == "" && *ckptEvery > 0 {
+		fmt.Fprintln(os.Stderr, "-ckpt-every needs -checkpoint (or -resume) to name the state file")
 		os.Exit(2)
 	}
-
-	// Resumable single-rank path: session-based training with full-state
-	// checkpoints. Multi-rank -resume falls through to the elastic path.
-	if *ranks == 1 && (*state != "" || *resume != "") {
-		var sess *trainer.Session
-		if *resume != "" {
-			sess, err = trainer.ResumeSession(*resume)
-			if err == nil {
-				fmt.Printf("resumed from %s at step %d\n", *resume, sess.Step)
-			}
-		} else {
-			sess, err = trainer.NewSession(cfg)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		sess.Cfg.Log = os.Stdout
-		sess.Cfg.LogEvery = *logEvery
-		loss, err := sess.RunSteps(*steps)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("done: step %d, final L1 loss %.5f, %.1f images/sec\n",
-			sess.Step, loss, sess.ImagesPerSec())
-		if *state != "" {
-			if err := sess.Save(*state); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("training state saved to %s\n", *state)
-		}
-		if *evalN > 0 {
-			pm, pb := trainer.Evaluate(sess.Model, sess.Cfg, *evalN)
-			fmt.Printf("held-out PSNR: EDSR %.2f dB vs bicubic %.2f dB (Δ %+.2f dB)\n", pm, pb, pm-pb)
-		}
-		return
-	}
-
-	// Fault-tolerant multi-rank path: periodic distributed checkpoints,
-	// optional crash injection, elastic restart with the survivors.
-	if *ranks > 1 && (*ckptEvery > 0 || *injectFault != "" || *recvTimeout > 0 || *resume != "") {
-		ckptPath := *checkpoint
-		if *resume != "" {
-			ckptPath = *resume
-		}
-		if ckptPath == "" && *ckptEvery > 0 {
-			fmt.Fprintln(os.Stderr, "-ckpt-every needs -checkpoint (or -resume) to name the state file")
-			os.Exit(2)
-		}
+	fmt.Printf("Training EDSR (B=%d, F=%d, x%d) on %d rank(s), batch %d, %d steps\n",
+		*blocks, *feats, *scale, *ranks, *batch, *steps)
+	var model *models.EDSR
+	if ckptPath != "" || *injectFault != "" || *recvTimeout > 0 {
 		fault := mpi.NoFaults()
 		if *injectFault != "" {
 			fault, err = parseFaultSpec(*injectFault)
@@ -246,17 +211,14 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		if *resume != "" {
-			step, ws, err := trainer.LoadElasticState(ckptPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "resume failed:", err)
-				os.Exit(1)
-			}
+		if step, ws, err := trainer.LoadElasticState(ckptPath); err == nil {
 			fmt.Printf("resuming from %s (step %d, saved by a %d-rank world)\n", ckptPath, step, ws)
+		} else if *resume != "" {
+			fmt.Fprintln(os.Stderr, "resume failed:", err)
+			os.Exit(1)
 		}
-		fmt.Printf("Training EDSR (B=%d, F=%d, x%d) on %d rank(s), batch %d, %d steps (elastic)\n",
-			*blocks, *feats, *scale, *ranks, *batch, *steps)
-		model, stats, err := trainer.TrainElastic(trainer.ElasticConfig{
+		var stats trainer.ElasticStats
+		model, stats, err = trainer.TrainElastic(trainer.ElasticConfig{
 			Train:           cfg,
 			WorldSize:       *ranks,
 			CheckpointPath:  ckptPath,
@@ -283,37 +245,27 @@ func main() {
 		if stats.Restarts > 0 {
 			fmt.Printf("recovered from %d rank failure(s) via elastic restart\n", stats.Restarts)
 		}
-		if *evalN > 0 {
-			pm, pb := trainer.Evaluate(model, cfg, *evalN)
-			fmt.Printf("held-out PSNR: EDSR %.2f dB vs bicubic %.2f dB (Δ %+.2f dB)\n", pm, pb, pm-pb)
+		if ckptPath != "" {
+			fmt.Printf("training state saved to %s\n", ckptPath)
 		}
-		return
+	} else {
+		var st trainer.Stats
+		model, st, err = trainer.TrainDistributed(cfg, *ranks)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "training failed:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("done: final L1 loss %.5f, avg %.5f, %.1f images/sec, %.1fs wall\n",
+			st.FinalLoss, st.AvgLoss, st.ImagesPerSec, st.WallSeconds)
+		if st.DrainMsPerStep > 0 {
+			fmt.Printf("communication wait: %.2f ms/step exposed in Drain\n", st.DrainMsPerStep)
+		}
+		writeTrace()
 	}
-
-	fmt.Printf("Training EDSR (B=%d, F=%d, x%d) on %d rank(s), batch %d, %d steps\n",
-		*blocks, *feats, *scale, *ranks, *batch, *steps)
-	model, st, err := trainer.TrainDistributed(cfg, *ranks)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "training failed:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("done: final L1 loss %.5f, avg %.5f, %.1f images/sec, %.1fs wall\n",
-		st.FinalLoss, st.AvgLoss, st.ImagesPerSec, st.WallSeconds)
-	if st.DrainMsPerStep > 0 {
-		fmt.Printf("communication wait: %.2f ms/step exposed in Drain\n", st.DrainMsPerStep)
-	}
-	writeTrace()
 
 	if *evalN > 0 {
 		pm, pb := trainer.Evaluate(model, cfg, *evalN)
 		fmt.Printf("held-out PSNR: EDSR %.2f dB vs bicubic %.2f dB (Δ %+.2f dB)\n", pm, pb, pm-pb)
-	}
-	if *checkpoint != "" {
-		if err := trainer.SaveCheckpoint(*checkpoint, model, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "checkpoint failed:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("checkpoint saved to %s\n", *checkpoint)
 	}
 	if *benchsets {
 		scores := trainer.EvaluateOnBenchmarks(model, nil, *scale, *size, 99)

@@ -137,10 +137,12 @@ func TestDecodeTopKAddRejects(t *testing.T) {
 	}
 }
 
-// FuzzTopKEncodeDecode is the wire-robustness gate from the issue: for
-// arbitrary gradients, decode(encode(g)) preserves the selected
-// indices/values exactly; and the decoder never panics on truncated or
-// arbitrary payloads.
+// FuzzTopKEncodeDecode is the wire-robustness gate: for arbitrary
+// gradients, decode(encode(g)) into a zeroed buffer yields exactly
+// +0 + g[idx] at every selected index — the decoder's contract is
+// out[idx] += val, and +0 + -0 is +0, so a selected -0 decodes as +0 —
+// and the decoder never panics on truncated or arbitrary payloads.
+// testdata/fuzz holds the negative-zero input as a committed seed.
 func FuzzTopKEncodeDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 64, 64})
 	f.Add([]byte{255, 255, 255, 255, 1, 2, 3, 4})
@@ -166,10 +168,11 @@ func FuzzTopKEncodeDecode(f *testing.F) {
 			if s != k {
 				t.Fatalf("encoded k=%d, decoded %d", k, s)
 			}
+			var zero float32 // a variable, so the add below runs in float32 at run time
 			for j := 0; j < s; j++ {
 				idx := math.Float32bits(wire[1+j])
-				if !eqBits(out[idx], g[idx]) {
-					t.Fatalf("selected elem %d: %v != %v", idx, out[idx], g[idx])
+				if want := zero + g[idx]; !eqBits(out[idx], want) {
+					t.Fatalf("selected elem %d: %v != +0 + %v = %v", idx, out[idx], g[idx], want)
 				}
 			}
 			// Truncations of a valid payload must error, never panic.

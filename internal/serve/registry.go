@@ -8,22 +8,13 @@ import (
 	"repro/internal/trainer"
 )
 
-// LoadEDSRCheckpoint loads trained EDSR weights from disk and returns a
-// Factory serving them. Both checkpoint flavors work: the weights-only
-// file written by trainer.SaveCheckpoint and the full training state
-// written by trainer.Session.Save — gob matches the shared
-// Config/Names/Values fields and skips the optimizer state.
-func LoadEDSRCheckpoint(path string) (Factory, models.EDSRConfig, error) {
-	m, cfg, err := trainer.LoadCheckpoint(path)
-	if err != nil {
-		return nil, models.EDSRConfig{}, fmt.Errorf("serve: loading %s: %w", path, err)
-	}
-	return EDSRFactory(m), cfg.Model, nil
-}
-
 // LoadEDSRMaster loads trained EDSR weights and returns the master model
 // itself, for callers that build variant factories (and the float32 gate
-// reference) from one weight set.
+// reference) from one weight set. Both checkpoint flavors work: the
+// weights-only file written by trainer.SaveCheckpoint and the full
+// training state a checkpointed trainer.TrainElastic run writes — gob
+// matches the shared Config/Names/Values fields and skips the optimizer
+// and loader state.
 func LoadEDSRMaster(path string) (*models.EDSR, models.EDSRConfig, error) {
 	m, cfg, err := trainer.LoadCheckpoint(path)
 	if err != nil {

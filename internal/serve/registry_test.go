@@ -15,27 +15,26 @@ func serveConfig() trainer.Config {
 	cfg.Model = models.EDSRConfig{NumBlocks: 1, NumFeats: 6, Scale: 2, ResScale: 0.1, Colors: 3}
 	cfg.Data.Images = 8
 	cfg.Data.Height, cfg.Data.Width = 24, 24
-	cfg.Steps = 0
+	cfg.Steps = 2
 	cfg.BatchSize = 2
 	cfg.PatchSize = 8
 	return cfg
 }
 
-// checkFactoryMatches asserts a factory's replicas forward identically
+// checkMasterMatches asserts a loaded master model forwards identically
 // to the reference model.
-func checkFactoryMatches(t *testing.T, f Factory, ref *models.EDSR) {
+func checkMasterMatches(t *testing.T, got, ref *models.EDSR) {
 	t.Helper()
 	rng := tensor.NewRNG(61)
 	x := randImage(rng, 3, 9, 9)
 	want := ref.Forward(x).Clone()
-	got := f().Forward(x)
-	if d := maxAbsDiff(want, got); d != 0 {
-		t.Fatalf("replica forward differs from checkpointed model by %g", d)
+	if d := maxAbsDiff(want, got.Forward(x)); d != 0 {
+		t.Fatalf("loaded model forward differs from checkpointed model by %g", d)
 	}
 }
 
 // TestLoadEDSRCheckpointWeightsFile round-trips the weights-only
-// trainer.SaveCheckpoint format into a serving Factory.
+// trainer.SaveCheckpoint format through LoadEDSRMaster.
 func TestLoadEDSRCheckpointWeightsFile(t *testing.T) {
 	cfg := serveConfig()
 	master := models.NewEDSR(cfg.Model, tensor.NewRNG(cfg.Seed))
@@ -43,41 +42,37 @@ func TestLoadEDSRCheckpointWeightsFile(t *testing.T) {
 	if err := trainer.SaveCheckpoint(path, master, cfg); err != nil {
 		t.Fatalf("SaveCheckpoint: %v", err)
 	}
-	f, gotCfg, err := LoadEDSRCheckpoint(path)
+	m, gotCfg, err := LoadEDSRMaster(path)
 	if err != nil {
-		t.Fatalf("LoadEDSRCheckpoint: %v", err)
+		t.Fatalf("LoadEDSRMaster: %v", err)
 	}
 	if gotCfg != cfg.Model {
 		t.Fatalf("config %+v, want %+v", gotCfg, cfg.Model)
 	}
-	checkFactoryMatches(t, f, master)
+	checkMasterMatches(t, m, master)
 }
 
-// TestLoadEDSRCheckpointSessionFile loads the full training-state file
-// written by trainer.Session.Save — the server must accept checkpoints
-// straight out of a crash-safe training run, optimizer state and all.
-func TestLoadEDSRCheckpointSessionFile(t *testing.T) {
-	s, err := trainer.NewSession(serveConfig())
+// TestLoadEDSRCheckpointTrainingStateFile loads the full training-state
+// file a checkpointed single-rank trainer.TrainElastic run writes — the
+// server must accept checkpoints straight out of a crash-safe training
+// run, optimizer state and all.
+func TestLoadEDSRCheckpointTrainingStateFile(t *testing.T) {
+	cfg := serveConfig()
+	path := filepath.Join(t.TempDir(), "state.ckpt")
+	trained, _, err := trainer.TrainElastic(trainer.ElasticConfig{Train: cfg, WorldSize: 1, CheckpointPath: path})
 	if err != nil {
-		t.Fatalf("NewSession: %v", err)
+		t.Fatalf("TrainElastic: %v", err)
 	}
-	if _, err := s.RunSteps(2); err != nil {
-		t.Fatalf("RunSteps: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "session.ckpt")
-	if err := s.Save(path); err != nil {
-		t.Fatalf("Session.Save: %v", err)
-	}
-	f, _, err := LoadEDSRCheckpoint(path)
+	m, _, err := LoadEDSRMaster(path)
 	if err != nil {
-		t.Fatalf("LoadEDSRCheckpoint on a Session.Save file: %v", err)
+		t.Fatalf("LoadEDSRMaster on a training-state file: %v", err)
 	}
-	checkFactoryMatches(t, f, s.Model)
+	checkMasterMatches(t, m, trained)
 }
 
 // TestLoadEDSRCheckpointMissing checks the error path.
 func TestLoadEDSRCheckpointMissing(t *testing.T) {
-	if _, _, err := LoadEDSRCheckpoint(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
+	if _, _, err := LoadEDSRMaster(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
 		t.Fatal("expected an error for a missing checkpoint")
 	}
 }

@@ -2,6 +2,7 @@ package trainer
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -79,61 +80,63 @@ func TestAtomicWriteGobEncodeErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestSessionSaveFailureKeepsResumableCheckpoint drives the property
-// end-to-end through Session.Save: a good checkpoint, then a save into
-// an unwritable directory, then a resume from the surviving file.
-func TestSessionSaveFailureKeepsResumableCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sess.gob")
-	cfg := DefaultConfig()
-	cfg.Steps = 2
-	cfg.Model.NumBlocks, cfg.Model.NumFeats = 1, 4
-	sess, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.RunSteps(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	goodBytes, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestElasticSaveFailureKeepsResumableCheckpoint drives the property
+// end-to-end through TrainElastic, at one rank and at two: a good
+// checkpoint, then a run whose save fails — which must end on every rank,
+// not leave rank 1 blocked in the next step — then a resume from the
+// surviving file.
+func TestElasticSaveFailureKeepsResumableCheckpoint(t *testing.T) {
+	for _, ws := range []int{1, 2} {
+		t.Run(fmt.Sprintf("world=%d", ws), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "state.gob")
+			cfg := DefaultConfig()
+			cfg.Steps = 2
+			cfg.Model.NumBlocks, cfg.Model.NumFeats = 1, 4
+			run := ElasticConfig{Train: cfg, WorldSize: ws, CheckpointPath: path, CheckpointEvery: 1, FusionThresholdBytes: -1}
+			if _, _, err := TrainElastic(run); err != nil {
+				t.Fatal(err)
+			}
+			goodBytes, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Make the directory unwritable so the temp file cannot be created;
-	// the failed save must not touch the existing checkpoint.
-	if err := os.Chmod(dir, 0o555); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chmod(dir, 0o755)
-	if os.Geteuid() == 0 {
-		// Root ignores directory permissions; fall back to a path whose
-		// parent directory does not exist at all.
-		bad := filepath.Join(dir, "no-such-subdir", "sess.gob")
-		if err := sess.Save(bad); err == nil {
-			t.Fatal("expected save error")
-		}
-	} else if err := sess.Save(path); err == nil {
-		t.Fatal("expected save error")
-	}
-	os.Chmod(dir, 0o755)
+			// Make the directory unwritable so the temp file cannot be
+			// created; the failed save must not touch the existing
+			// checkpoint.
+			more := run
+			more.Train.Steps = 4
+			if err := os.Chmod(dir, 0o555); err != nil {
+				t.Fatal(err)
+			}
+			defer os.Chmod(dir, 0o755)
+			bad := more
+			if os.Geteuid() == 0 {
+				// Root ignores directory permissions; fall back to a path
+				// whose parent directory does not exist at all.
+				bad.CheckpointPath = filepath.Join(dir, "no-such-subdir", "state.gob")
+			}
+			if _, _, err := TrainElastic(bad); err == nil {
+				t.Fatal("expected save error")
+			}
+			os.Chmod(dir, 0o755)
 
-	afterBytes, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(afterBytes) != string(goodBytes) {
-		t.Fatal("failed save modified the previous checkpoint")
-	}
-	resumed, err := ResumeSession(path)
-	if err != nil {
-		t.Fatalf("surviving checkpoint not resumable: %v", err)
-	}
-	if resumed.Step != 2 {
-		t.Fatalf("resumed at step %d, want 2", resumed.Step)
+			afterBytes, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(afterBytes) != string(goodBytes) {
+				t.Fatal("failed save modified the previous checkpoint")
+			}
+			_, stats, err := TrainElastic(more)
+			if err != nil {
+				t.Fatalf("surviving checkpoint not resumable: %v", err)
+			}
+			if at := stats.Attempts[0]; at.StartStep != 2 || at.EndStep != 4 {
+				t.Fatalf("resumed steps %d..%d, want 2..4", at.StartStep, at.EndStep)
+			}
+		})
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/data"
-	"repro/internal/horovod"
 	"repro/internal/models"
 	"repro/internal/mpi"
 	"repro/internal/nn"
@@ -18,8 +17,8 @@ import (
 	"repro/internal/trace"
 )
 
-// ElasticConfig drives a fault-tolerant data-parallel training run: the
-// distributed generalization of Session. Rank 0 writes an atomic
+// ElasticConfig drives a fault-tolerant, resumable training run at any
+// world size, one rank included. Rank 0 writes an atomic
 // checkpoint of the full training state (parameters, Adam moments, the
 // per-rank loader RNG streams) every CheckpointEvery steps; when a rank
 // dies mid-run the surviving ranks rebuild a smaller world from the
@@ -62,9 +61,6 @@ type AttemptStats struct {
 	AvgLoss   float64
 	FinalLoss float64
 	Err       string
-
-	// survivors is the rank count available for the next restart.
-	survivors int
 }
 
 // ElasticStats summarizes a completed elastic run.
@@ -120,23 +116,42 @@ func readElasticState(path string) (*elasticState, error) {
 // run it is TrainDistributed plus periodic checkpoints; when ranks die
 // it restarts from the last checkpoint with the survivors, up to
 // MaxRestarts times. If CheckpointPath already holds a checkpoint the
-// run resumes from it — with the same world size the continuation is
-// bit-identical to a run that never stopped.
+// run resumes from it and trains to Train.Steps in total — with the same
+// world size the continuation is bit-identical to a run that never
+// stopped.
 func TrainElastic(cfg ElasticConfig) (*models.EDSR, ElasticStats, error) {
 	var stats ElasticStats
 	if cfg.WorldSize < 1 {
 		return nil, stats, fmt.Errorf("trainer: elastic world size %d", cfg.WorldSize)
 	}
-	if cfg.Train.Steps < 1 || cfg.Train.BatchSize < 1 {
-		return nil, stats, fmt.Errorf("trainer: invalid config: steps=%d batch=%d", cfg.Train.Steps, cfg.Train.BatchSize)
-	}
-	ws := cfg.WorldSize
-	fault := normalizeFault(cfg.Fault)
+	r := newRun(cfg.Train, cfg.WorldSize)
+	r.fusion = cfg.FusionThresholdBytes
+	r.ckPath, r.ckEvery = cfg.CheckpointPath, cfg.CheckpointEvery
+	r.recvTimeout = cfg.RecvTimeout
+	r.fault = normalizeFault(cfg.Fault)
 	for {
-		model, attempt, runErr := runElasticAttempt(cfg, ws, fault)
-		stats.Attempts = append(stats.Attempts, attempt)
+		at := AttemptStats{WorldSize: r.world}
+		r.state = nil
+		if cfg.CheckpointPath != "" {
+			st, err := readElasticState(cfg.CheckpointPath)
+			if err == nil {
+				r.state, at.StartStep = st, st.Step
+			} else if !errors.Is(err, os.ErrNotExist) {
+				return nil, stats, err
+			}
+		}
+		p, survivors, runErr := r.attempt()
+		if p == nil { // the config was rejected before any rank ran
+			return nil, stats, runErr
+		}
+		at.EndStep = at.StartStep + p.stats.Steps
+		at.AvgLoss, at.FinalLoss = p.avgLoss(), p.stats.FinalLoss
+		if runErr != nil {
+			at.Err = runErr.Error()
+		}
+		stats.Attempts = append(stats.Attempts, at)
 		if runErr == nil {
-			return model, stats, nil
+			return p.model.(*models.EDSR), stats, nil
 		}
 		if cfg.CheckpointPath == "" {
 			return nil, stats, fmt.Errorf("trainer: rank failure without a checkpoint to restart from: %w", runErr)
@@ -144,7 +159,6 @@ func TrainElastic(cfg ElasticConfig) (*models.EDSR, ElasticStats, error) {
 		if stats.Restarts >= cfg.MaxRestarts {
 			return nil, stats, fmt.Errorf("trainer: giving up after %d restart(s): %w", stats.Restarts, runErr)
 		}
-		survivors := attempt.survivors
 		if survivors < 1 {
 			return nil, stats, fmt.Errorf("trainer: no survivors to restart with: %w", runErr)
 		}
@@ -158,10 +172,10 @@ func TrainElastic(cfg ElasticConfig) (*models.EDSR, ElasticStats, error) {
 		cfg.Train.Trace.Recorder(0).EmitInstant(trace.CatRestart, trace.TrackMain, 0)
 		if tm := cfg.Train.Metrics; tm != nil {
 			tm.Restarts.Inc()
-			tm.FailedRanks.Add(int64(ws - survivors))
+			tm.FailedRanks.Add(int64(r.world - survivors))
 		}
-		ws = survivors
-		fault = mpi.NoFaults() // the injected fault fired; restarts run clean
+		r.world = survivors
+		r.fault = mpi.NoFaults() // the injected fault fired; restarts run clean
 		stats.Restarts++
 	}
 }
@@ -183,215 +197,27 @@ func normalizeFault(p mpi.FaultPlan) mpi.FaultPlan {
 	return p
 }
 
-// runElasticAttempt executes one world until the configured step count
-// or the first failure. It resumes from CheckpointPath when present.
-func runElasticAttempt(cfg ElasticConfig, ws int, fault mpi.FaultPlan) (*models.EDSR, AttemptStats, error) {
-	at := AttemptStats{WorldSize: ws, StartStep: 0}
-	var st *elasticState
-	if cfg.CheckpointPath != "" {
-		if loaded, err := readElasticState(cfg.CheckpointPath); err == nil {
-			st = loaded
-			at.StartStep = st.Step
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, at, err
-		}
+// restore loads the checkpointed parameters and Adam state.
+func (st *elasticState) restore(params []*nn.Param, opt *nn.Adam) error {
+	if err := restoreParams(params, st.Names, st.Values); err != nil {
+		return err
 	}
-	if at.StartStep >= cfg.Train.Steps {
-		// Nothing left to do; rebuild rank 0's model from the checkpoint.
-		model := models.NewEDSR(cfg.Train.Model, tensor.NewRNG(cfg.Train.Seed))
-		if err := restoreParams(model, st); err != nil {
-			return nil, at, err
-		}
-		at.EndStep = at.StartStep
-		return model, at, nil
+	m, v, _ := opt.State()
+	if len(st.AdamM) != len(m) || len(st.AdamV) != len(v) {
+		return fmt.Errorf("trainer: optimizer state size mismatch in checkpoint")
 	}
-
-	world := mpi.NewWorld(ws)
-	world.SetRecvTimeout(cfg.RecvTimeout)
-	world.SetFaultPlan(fault)
-	if cfg.Train.GPUsPerNode > 0 {
-		world.SetGPUsPerNode(cfg.Train.GPUsPerNode)
+	for i := range m {
+		m[i].CopyFrom(st.AdamM[i])
+		v[i].CopyFrom(st.AdamV[i])
 	}
-
-	outs := make([]rankProgress, ws)
-	runErr := world.Run(func(c *mpi.Comm) {
-		// The progress struct is updated in place every step so that a
-		// failed attempt still reports how far it got and what the loss
-		// looked like (a panic unwinds past any return value).
-		elasticRankLoop(cfg, c, st, &outs[c.Rank()])
-	})
-	at.survivors = len(world.Survivors())
-	o := outs[0]
-	if o.steps > 0 {
-		at.AvgLoss = o.lossSum / float64(o.steps)
-		at.FinalLoss = o.last
-	}
-	at.EndStep = at.StartStep + o.steps
-	if runErr != nil {
-		at.Err = runErr.Error()
-		return nil, at, runErr
-	}
-	if o.err != nil {
-		at.Err = o.err.Error()
-		return nil, at, o.err
-	}
-	for r := range outs {
-		if outs[r].err != nil {
-			at.Err = outs[r].err.Error()
-			return nil, at, fmt.Errorf("rank %d: %w", r, outs[r].err)
-		}
-	}
-	return o.model, at, nil
+	opt.SetStep(st.AdamStep)
+	return nil
 }
 
-// rankProgress is one rank's incrementally-updated training state; it
-// survives a mid-step panic so failed attempts still report stats.
-type rankProgress struct {
-	model   *models.EDSR
-	lossSum float64
-	steps   int
-	last    float64
-	err     error
-}
-
-// elasticRankLoop is one rank's fault-aware training loop: trainRank
-// plus state restore, per-step fault points, and periodic distributed
-// checkpoints.
-func elasticRankLoop(cfg ElasticConfig, c *mpi.Comm, st *elasticState, out *rankProgress) {
-	rank, ws := c.Rank(), c.Size()
-	tcfg := cfg.Train
-	rng := tensor.NewRNG(tcfg.Seed) // identical weights pre-broadcast
-	model := models.NewEDSR(tcfg.Model, rng)
-	out.model = model
-	params := model.Params()
-	if err := nn.CheckUniqueNames(params); err != nil {
-		out.err = err
-		return
-	}
-
-	ds := data.NewDataset(tcfg.Data)
-	loader, err := data.NewLoader(ds, data.LoaderConfig{
-		BatchSize: tcfg.BatchSize,
-		PatchSize: tcfg.PatchSize,
-		Scale:     tcfg.Model.Scale,
-		Rank:      rank,
-		WorldSize: ws,
-		Seed:      loaderSeed(tcfg.Seed, st),
-	})
-	if err != nil {
-		out.err = err
-		return
-	}
-
-	opt := nn.NewAdam(params, tcfg.LR)
-	start := 0
-	if st != nil {
-		if err := restoreParams(model, st); err != nil {
-			out.err = err
-			return
-		}
-		m, v, _ := opt.State()
-		if len(st.AdamM) != len(m) || len(st.AdamV) != len(v) {
-			out.err = fmt.Errorf("trainer: optimizer state size mismatch in checkpoint")
-			return
-		}
-		for i := range m {
-			m[i].CopyFrom(st.AdamM[i])
-			v[i].CopyFrom(st.AdamV[i])
-		}
-		opt.SetStep(st.AdamStep)
-		start = st.Step
-		if st.WorldSize == ws {
-			// Same world: resume each rank's exact sampling stream so the
-			// continuation is bit-identical to a run that never stopped.
-			loader.SetRNGState(st.LoaderRNG[rank])
-		}
-		// Shrunk world: the loader above was already built with the new
-		// sharding and a seed mixed from the checkpoint step, so the
-		// restarted run is deterministic (two restarts from the same
-		// checkpoint draw identical batches) even though it cannot match
-		// the dead world's stream.
-	}
-
-	fn, err := tcfg.newAllreduceFn()
-	if err != nil {
-		out.err = err
-		return
-	}
-	engine := horovod.NewEngine(engineComm(tcfg, c), horovod.Config{
-		FusionThresholdBytes: tcfg.fusionThreshold(cfg.FusionThresholdBytes),
-		CycleTime:            0, // in-process ranks negotiate eagerly
-		Average:              true,
-		Algo:                 mpi.AlgoRing,
-		AllreduceFn:          fn,
-		Trace:                tcfg.Trace.Recorder(rank),
-		Metrics:              rankMetrics(tcfg, rank),
-	})
-	dopt := horovod.NewDistributedOptimizer(opt, engine)
-	model.SetGradHook(dopt.GradHook())
-	engine.Start()
-	defer engine.Shutdown()
-	horovod.BroadcastParameters(c, params, 0)
-	horovod.ScaleLR(opt, ws)
-	schedule := nn.StepLRSchedule{Base: tcfg.LR * float64(ws), DecayEvery: tcfg.LRDecayEvery, Gamma: 0.5}
-
-	rec := tcfg.Trace.Recorder(rank)
-	tm := rankMetrics(tcfg, rank)
-	if tm != nil {
-		tm.WorldSize.Set(float64(ws))
-	}
-	loss := nn.L1Loss{}
-	var gradBuf *tensor.Tensor
-	for step := start; step < tcfg.Steps; step++ {
-		c.FaultPoint(step)
-		if tcfg.LRDecayEvery > 0 {
-			schedule.Apply(opt, step)
-		}
-		batch := loader.Next()
-		stepStart := time.Now()
-		stepSpan := rec.Now()
-		dopt.ZeroGrad()
-		fwdSpan := rec.Now()
-		pred := model.Forward(batch.LR)
-		rec.Emit(trace.CatForward, trace.TrackMain, fwdSpan, 0)
-		l, grad := loss.ForwardBuf(gradBuf, pred, batch.HR)
-		gradBuf = grad
-		bwdSpan := rec.Now()
-		model.Backward(grad)
-		rec.Emit(trace.CatBackward, trace.TrackMain, bwdSpan, 0)
-		dopt.Step()
-		rec.Emit(trace.CatStep, trace.TrackMain, stepSpan, 0)
-		if tm != nil {
-			tm.ObserveStep(tcfg.BatchSize*ws, time.Since(stepStart), 0)
-		}
-		out.lossSum += l
-		out.last = l
-		out.steps++
-		if tcfg.LogEvery > 0 && tcfg.Log != nil && rank == 0 && (step+1)%tcfg.LogEvery == 0 {
-			fmt.Fprintf(tcfg.Log, "step %4d  loss %.5f  world %d\n", step+1, l, ws)
-		}
-		if cfg.CheckpointPath != "" &&
-			(step+1 == tcfg.Steps || (cfg.CheckpointEvery > 0 && (step+1)%cfg.CheckpointEvery == 0)) {
-			ckSpan := rec.Now()
-			if err := writeElasticCheckpoint(cfg, c, step+1, params, opt, loader); err != nil {
-				out.err = err
-				return
-			}
-			rec.Emit(trace.CatCheckpoint, trace.TrackMain, ckSpan, 0)
-			if tm != nil {
-				tm.Checkpoints.Inc()
-			}
-		}
-	}
-	// Merge spans on rank 0 while the world is still healthy; failed
-	// attempts skip this (the trace keeps what rank 0 recorded locally).
-	tcfg.Trace.Gather(c, 0)
-}
-
-// loaderSeed derives the loader's base seed. Fresh runs use the same
-// derivation as trainRank; a run resumed into a *different* world size
-// mixes in the checkpoint step so the re-sharded streams are fresh but
-// deterministic.
+// loaderSeed derives the loader's base seed. Fresh runs use seed+100; a
+// resumed run mixes in the checkpoint step, so a run resumed into a
+// different world size draws fresh but deterministic re-sharded streams
+// (a same-size resume restores the saved streams instead).
 func loaderSeed(seed uint64, st *elasticState) uint64 {
 	s := seed + 100
 	if st != nil {
@@ -400,33 +226,15 @@ func loaderSeed(seed uint64, st *elasticState) uint64 {
 	return s
 }
 
-// restoreParams copies checkpoint values into the model.
-func restoreParams(model *models.EDSR, st *elasticState) error {
-	if st == nil {
-		return fmt.Errorf("trainer: nil elastic state")
-	}
-	params := model.Params()
-	if len(params) != len(st.Names) {
-		return fmt.Errorf("trainer: checkpoint has %d tensors, model %d", len(st.Names), len(params))
-	}
-	for i, p := range params {
-		if p.Name != st.Names[i] {
-			return fmt.Errorf("trainer: checkpoint tensor %q does not match %q", st.Names[i], p.Name)
-		}
-		if !p.Value.SameShape(st.Values[i]) {
-			return fmt.Errorf("trainer: shape mismatch for %q", p.Name)
-		}
-		p.Value.CopyFrom(st.Values[i])
-	}
-	return nil
-}
-
 // writeElasticCheckpoint gathers every rank's loader RNG stream on rank
 // 0 and writes the full training state atomically. All ranks call it at
-// the same step; only rank 0 touches the filesystem. RNG states travel
-// through the float32 substrate as raw bit halves — Send/Recv/Gather
-// only copy, so the uint64 round-trips exactly.
-func writeElasticCheckpoint(cfg ElasticConfig, c *mpi.Comm, step int, params []*nn.Param, opt *nn.Adam, loader *data.Loader) error {
+// the same step; only rank 0 touches the filesystem, then tells every
+// rank whether the save succeeded, so a failed save ends the attempt on
+// all ranks at this step instead of leaving the others blocked in the
+// next step's allreduce. RNG states travel through the float32
+// substrate as raw bit halves — Send/Recv/Gather only copy, so the
+// uint64 round-trips exactly.
+func writeElasticCheckpoint(path string, cfg Config, c *mpi.Comm, step int, params []*nn.Param, opt *nn.Adam, loader *data.Loader) error {
 	ws := c.Size()
 	state := loader.RNGState()
 	in := [2]float32{
@@ -438,25 +246,33 @@ func writeElasticCheckpoint(cfg ElasticConfig, c *mpi.Comm, step int, params []*
 		out = make([]float32, 2*ws)
 	}
 	c.Gather(in[:], out, 0)
-	if c.Rank() != 0 {
-		return nil
+	var err error
+	saved := [1]float32{1}
+	if c.Rank() == 0 {
+		st := elasticState{
+			Config:    cfg.sanitized(),
+			WorldSize: ws,
+			Step:      step,
+		}
+		m, v, adamStep := opt.State()
+		st.AdamM, st.AdamV, st.AdamStep = m, v, adamStep
+		for _, p := range params {
+			st.Names = append(st.Names, p.Name)
+			st.Values = append(st.Values, p.Value)
+		}
+		st.LoaderRNG = make([]uint64, ws)
+		for r := 0; r < ws; r++ {
+			lo := uint64(math.Float32bits(out[2*r]))
+			hi := uint64(math.Float32bits(out[2*r+1]))
+			st.LoaderRNG[r] = hi<<32 | lo
+		}
+		if err = atomicWriteGob(path, &st); err != nil {
+			saved[0] = 0
+		}
 	}
-	st := elasticState{
-		Config:    cfg.Train.sanitized(),
-		WorldSize: ws,
-		Step:      step,
+	c.Bcast(saved[:], 0)
+	if err == nil && saved[0] == 0 {
+		err = fmt.Errorf("trainer: rank 0 failed to save the checkpoint at step %d", step)
 	}
-	m, v, adamStep := opt.State()
-	st.AdamM, st.AdamV, st.AdamStep = m, v, adamStep
-	for _, p := range params {
-		st.Names = append(st.Names, p.Name)
-		st.Values = append(st.Values, p.Value)
-	}
-	st.LoaderRNG = make([]uint64, ws)
-	for r := 0; r < ws; r++ {
-		lo := uint64(math.Float32bits(out[2*r]))
-		hi := uint64(math.Float32bits(out[2*r+1]))
-		st.LoaderRNG[r] = hi<<32 | lo
-	}
-	return atomicWriteGob(cfg.CheckpointPath, &st)
+	return err
 }

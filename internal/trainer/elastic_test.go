@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/models"
 	"repro/internal/mpi"
+	"repro/internal/trace"
 )
 
 // elasticTestConfig keeps the distributed fault tests laptop-fast.
@@ -53,56 +55,67 @@ func sameBits(a, b [][]uint32) bool {
 	return true
 }
 
-// TestElasticResumeBitIdentical is the resume-equivalence gate: a 2-rank
-// run checkpointed at step 10 and resumed to step 20 must produce
-// parameters bit-identical to an uninterrupted 20-step run. Fusion is
-// disabled so both runs reduce tensors in a fixed order (fusion grouping
-// depends on submission timing and changes fp summation order).
+// TestElasticResumeBitIdentical is the resume-equivalence gate: a run
+// checkpointed at step 10 and resumed to step 20 must produce parameters
+// bit-identical to an uninterrupted 20-step run, at one rank (the
+// single-process resume) and at two. Fusion is disabled so both runs
+// reduce tensors in a fixed order (fusion grouping depends on submission
+// timing and changes fp summation order).
 func TestElasticResumeBitIdentical(t *testing.T) {
-	dir := t.TempDir()
+	for _, ws := range []int{1, 2} {
+		t.Run(fmt.Sprintf("world=%d", ws), func(t *testing.T) {
+			dir := t.TempDir()
+			ref := ElasticConfig{
+				Train:                elasticTestConfig(20),
+				WorldSize:            ws,
+				CheckpointPath:       filepath.Join(dir, "ref.gob"),
+				CheckpointEvery:      10,
+				FusionThresholdBytes: -1,
+			}
+			refModel, refStats, err := TrainElastic(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if refStats.Restarts != 0 || len(refStats.Attempts) != 1 {
+				t.Fatalf("reference run restarted: %+v", refStats)
+			}
 
-	ref := ElasticConfig{
-		Train:                elasticTestConfig(20),
-		WorldSize:            2,
-		CheckpointPath:       filepath.Join(dir, "ref.gob"),
-		CheckpointEvery:      10,
-		FusionThresholdBytes: -1,
+			// Interrupted run: train to step 10, stop, then resume to 20
+			// from the checkpoint file alone.
+			half := ref
+			half.Train.Steps = 10
+			half.CheckpointPath = filepath.Join(dir, "half.gob")
+			if _, _, err := TrainElastic(half); err != nil {
+				t.Fatal(err)
+			}
+			step, gotWS, err := LoadElasticState(half.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if step != 10 || gotWS != ws {
+				t.Fatalf("checkpoint at step %d world %d, want 10/%d", step, gotWS, ws)
+			}
+			resumed := half
+			resumed.Train.Steps = 20
+			resModel, resStats, err := TrainElastic(resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at := resStats.Attempts[0]; at.StartStep != 10 || at.EndStep != 20 {
+				t.Fatalf("resume covered steps %d..%d, want 10..20", at.StartStep, at.EndStep)
+			}
+			if !sameBits(paramBits(t, refModel), paramBits(t, resModel)) {
+				t.Fatal("resumed run is not bit-identical to the uninterrupted run")
+			}
+		})
 	}
-	refModel, refStats, err := TrainElastic(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refStats.Restarts != 0 || len(refStats.Attempts) != 1 {
-		t.Fatalf("reference run restarted: %+v", refStats)
-	}
-	refBits := paramBits(t, refModel)
+}
 
-	// Interrupted run: train to step 10, stop, then resume to 20 from the
-	// checkpoint file alone.
-	half := ref
-	half.Train.Steps = 10
-	half.CheckpointPath = filepath.Join(dir, "half.gob")
-	if _, _, err := TrainElastic(half); err != nil {
-		t.Fatal(err)
-	}
-	step, ws, err := LoadElasticState(half.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step != 10 || ws != 2 {
-		t.Fatalf("checkpoint at step %d world %d, want 10/2", step, ws)
-	}
-	resumed := half
-	resumed.Train.Steps = 20
-	resModel, resStats, err := TrainElastic(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resStats.Attempts[0].StartStep != 10 || resStats.Attempts[0].EndStep != 20 {
-		t.Fatalf("resume covered steps %d..%d, want 10..20", resStats.Attempts[0].StartStep, resStats.Attempts[0].EndStep)
-	}
-	if !sameBits(refBits, paramBits(t, resModel)) {
-		t.Fatal("resumed run is not bit-identical to the uninterrupted run")
+// TestLoadElasticStateMissingFile: reading a checkpoint that does not
+// exist is an error (TrainElastic itself treats it as a fresh start).
+func TestLoadElasticStateMissingFile(t *testing.T) {
+	if _, _, err := LoadElasticState(filepath.Join(t.TempDir(), "none.gob")); err == nil {
+		t.Fatal("expected error")
 	}
 }
 
@@ -198,5 +211,22 @@ func TestElasticShrunkResumeDeterministic(t *testing.T) {
 	}
 	if !sameBits(bits[0], bits[1]) {
 		t.Fatal("two resumes of the same checkpoint diverged")
+	}
+}
+
+// TestElasticSetsImagesPerSecond: an elastic run reports its running
+// throughput on the live img/s gauge, as TrainDistributed does.
+func TestElasticSetsImagesPerSecond(t *testing.T) {
+	tm := trace.NewTrainMetrics(trace.NewMetrics())
+	cfg := elasticTestConfig(4)
+	cfg.Metrics = tm
+	if _, _, err := TrainElastic(ElasticConfig{Train: cfg, WorldSize: 2, FusionThresholdBytes: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tm.ImagesPerSec.Value(); !(got > 0) {
+		t.Fatalf("edsr_images_per_second = %g after an elastic run, want > 0", got)
+	}
+	if got := tm.Steps.Value(); got != 4 {
+		t.Fatalf("edsr_steps_total = %d, want 4", got)
 	}
 }

@@ -150,9 +150,9 @@ type Stats struct {
 }
 
 // TrainSingle trains an EDSR on one process and returns the model and
-// stats.
+// stats. It is TrainDistributed at world size 1.
 func TrainSingle(cfg Config) (*models.EDSR, Stats, error) {
-	return trainRank(cfg, nil, nil)
+	return TrainDistributed(cfg, 1)
 }
 
 // TrainDistributed trains data-parallel replicas across an in-process MPI
@@ -163,44 +163,252 @@ func TrainDistributed(cfg Config, worldSize int) (*models.EDSR, Stats, error) {
 	if worldSize < 1 {
 		return nil, Stats{}, fmt.Errorf("trainer: world size %d", worldSize)
 	}
-	if worldSize == 1 {
-		return TrainSingle(cfg)
-	}
-	if _, err := cfg.newAllreduceFn(); err != nil {
+	p, _, err := newRun(cfg, worldSize).attempt()
+	if err != nil {
 		return nil, Stats{}, err
 	}
-	world := mpi.NewWorld(worldSize)
-	if cfg.GPUsPerNode > 0 {
-		world.SetGPUsPerNode(cfg.GPUsPerNode)
+	return p.model.(*models.EDSR), p.stats, nil
+}
+
+// run is one attempt of the per-rank training loop: the single, the
+// distributed, the elastic and the zoo entry points all build one and
+// call attempt.
+type run struct {
+	cfg   Config
+	world int
+	// build constructs the model and its input transform from the seeded
+	// RNG; scale is the super-resolution factor the loader cuts for.
+	build func(*tensor.RNG) (SRModel, func(*tensor.Tensor) *tensor.Tensor, error)
+	scale int
+	// fusion is the Horovod engine's fusion threshold (worlds > 1 only).
+	fusion int64
+	// state, when non-nil, is the checkpoint the ranks resume from.
+	state *elasticState
+	// ckPath, when set, receives the full training state every ckEvery
+	// steps and after the last step.
+	ckPath      string
+	ckEvery     int
+	recvTimeout time.Duration
+	fault       mpi.FaultPlan
+}
+
+// newRun returns a run of cfg's EDSR on worldSize ranks with the default
+// 64 MiB fusion threshold, no checkpoints and no faults.
+func newRun(cfg Config, worldSize int) *run {
+	return &run{
+		cfg:   cfg,
+		world: worldSize,
+		build: func(rng *tensor.RNG) (SRModel, func(*tensor.Tensor) *tensor.Tensor, error) {
+			return models.NewEDSR(cfg.Model, rng), identity, nil
+		},
+		scale:  cfg.Model.Scale,
+		fusion: 64 << 20,
+		fault:  mpi.NoFaults(),
 	}
-	type out struct {
-		m   *models.EDSR
-		st  Stats
-		err error
+}
+
+func identity(t *tensor.Tensor) *tensor.Tensor { return t }
+
+// rankProgress is one rank's training state, updated in place every step
+// so that a failed attempt still reports how far it got and what the loss
+// looked like (a panic unwinds past any return value).
+type rankProgress struct {
+	model   SRModel
+	pre     func(*tensor.Tensor) *tensor.Tensor
+	stats   Stats // Steps and FinalLoss live; the rest set after the last step
+	lossSum float64
+	err     error
+}
+
+// avgLoss is the mean loss over the steps this attempt ran.
+func (p *rankProgress) avgLoss() float64 {
+	if p.stats.Steps == 0 {
+		return 0
 	}
-	results := make([]out, worldSize)
-	if err := world.Run(func(c *mpi.Comm) {
-		fn, _ := cfg.newAllreduceFn() // validated above; fresh state per rank
+	return p.lossSum / float64(p.stats.Steps)
+}
+
+// attempt runs every rank of a fresh world from r.state (or from scratch)
+// to cfg.Steps. It returns rank 0's progress, the number of ranks that
+// survive into a restart, and the first failure.
+func (r *run) attempt() (*rankProgress, int, error) {
+	if r.cfg.Steps < 1 || r.cfg.BatchSize < 1 {
+		return nil, 0, fmt.Errorf("trainer: invalid config: steps=%d batch=%d", r.cfg.Steps, r.cfg.BatchSize)
+	}
+	world := mpi.NewWorld(r.world)
+	world.SetRecvTimeout(r.recvTimeout)
+	world.SetFaultPlan(r.fault)
+	if r.cfg.GPUsPerNode > 0 {
+		world.SetGPUsPerNode(r.cfg.GPUsPerNode)
+	}
+	outs := make([]rankProgress, r.world)
+	err := world.Run(func(c *mpi.Comm) { r.rank(c, &outs[c.Rank()]) })
+	for i := range outs {
+		if err == nil && outs[i].err != nil {
+			err = fmt.Errorf("rank %d: %w", i, outs[i].err)
+		}
+	}
+	return &outs[0], len(world.Survivors()), err
+}
+
+// rank is the per-rank training loop. It builds the model, loader and
+// Adam, restores r.state, and — in worlds of more than one rank — starts
+// the Horovod engine, broadcasts rank 0's weights and scales the LR. Each
+// step then passes the fault point, applies the LR schedule, and runs
+// forward, L1 loss, backward and the (distributed) update, with a trace
+// span per phase, live metrics on rank 0, and a checkpoint when due.
+func (r *run) rank(c *mpi.Comm, out *rankProgress) {
+	cfg := r.cfg
+	rank, ws := c.Rank(), c.Size()
+	model, pre, err := r.build(tensor.NewRNG(cfg.Seed)) // same weights on every rank before broadcast
+	if err != nil {
+		out.err = err
+		return
+	}
+	out.model, out.pre = model, pre
+	params := model.Params()
+	if err := nn.CheckUniqueNames(params); err != nil {
+		out.err = err
+		return
+	}
+	loader, err := data.NewLoader(data.NewDataset(cfg.Data), data.LoaderConfig{
+		BatchSize: cfg.BatchSize,
+		PatchSize: cfg.PatchSize,
+		Scale:     r.scale,
+		Rank:      rank,
+		WorldSize: ws,
+		Seed:      loaderSeed(cfg.Seed, r.state),
+	})
+	if err != nil {
+		out.err = err
+		return
+	}
+
+	opt := nn.NewAdam(params, cfg.LR)
+	start := 0
+	if st := r.state; st != nil {
+		if err := st.restore(params, opt); err != nil {
+			out.err = err
+			return
+		}
+		start = st.Step
+		if st.WorldSize == ws {
+			// Same world: resume each rank's exact sampling stream so the
+			// continuation is bit-identical to a run that never stopped.
+			loader.SetRNGState(st.LoaderRNG[rank])
+		}
+		// Other world: the loader above was built with the new sharding
+		// and a seed mixed from the checkpoint step, so the restarted run
+		// is deterministic even though it cannot match the old stream.
+	}
+
+	var dopt interface {
+		Step()
+		ZeroGrad()
+	} = opt
+	var distOpt *horovod.DistributedOptimizer
+	if ws > 1 {
+		fn, err := cfg.newAllreduceFn() // fresh state per rank
+		if err != nil {
+			out.err = err
+			return
+		}
 		engine := horovod.NewEngine(engineComm(cfg, c), horovod.Config{
-			FusionThresholdBytes: cfg.fusionThreshold(64 << 20),
+			FusionThresholdBytes: cfg.fusionThreshold(r.fusion),
 			CycleTime:            0, // in-process ranks negotiate eagerly
 			Average:              true,
 			Algo:                 mpi.AlgoRing,
 			AllreduceFn:          fn,
-			Trace:                cfg.Trace.Recorder(c.Rank()),
-			Metrics:              rankMetrics(cfg, c.Rank()),
+			Trace:                cfg.Trace.Recorder(rank),
+			Metrics:              rankMetrics(cfg, rank),
 		})
-		m, st, err := trainRank(cfg, c, engine)
-		results[c.Rank()] = out{m, st, err}
-	}); err != nil {
-		return nil, Stats{}, err
+		distOpt = horovod.NewDistributedOptimizer(opt, engine)
+		// Overlap backward with communication: each parameter is submitted
+		// for reduction the moment its backward contribution completes.
+		if h, ok := model.(interface{ SetGradHook(nn.GradHook) }); ok {
+			h.SetGradHook(distOpt.GradHook())
+		}
+		engine.Start()
+		defer engine.Shutdown()
+		horovod.BroadcastParameters(c, params, 0)
+		horovod.ScaleLR(opt, ws)
+		dopt = distOpt
 	}
-	for r, o := range results {
-		if o.err != nil {
-			return nil, Stats{}, fmt.Errorf("rank %d: %w", r, o.err)
+	schedule := nn.StepLRSchedule{Base: cfg.LR * float64(ws), DecayEvery: cfg.LRDecayEvery, Gamma: 0.5}
+
+	rec := cfg.Trace.Recorder(rank)
+	tm := rankMetrics(cfg, rank)
+	if tm != nil {
+		tm.WorldSize.Set(float64(ws))
+	}
+	meter := metrics.ThroughputMeter{WarmupSteps: 1}
+	var gradBuf *tensor.Tensor
+	var memWarm runtime.MemStats
+	begin := time.Now()
+	for step := start; step < cfg.Steps; step++ {
+		c.FaultPoint(step)
+		if cfg.LRDecayEvery > 0 {
+			schedule.Apply(opt, step)
+		}
+		batch := loader.Next()
+		stepStart := time.Now()
+		stepSpan := rec.Now()
+		dopt.ZeroGrad()
+		fwdSpan := rec.Now()
+		pred := model.Forward(pre(batch.LR))
+		rec.Emit(trace.CatForward, trace.TrackMain, fwdSpan, 0)
+		l, grad := nn.L1Loss{}.ForwardBuf(gradBuf, pred, batch.HR)
+		gradBuf = grad
+		bwdSpan := rec.Now()
+		model.Backward(grad)
+		rec.Emit(trace.CatBackward, trace.TrackMain, bwdSpan, 0)
+		dopt.Step()
+		rec.Emit(trace.CatStep, trace.TrackMain, stepSpan, 0)
+		stepDur := time.Since(stepStart)
+		meter.Record(cfg.BatchSize*ws, stepDur.Seconds())
+		tm.ObserveStep(cfg.BatchSize*ws, stepDur, meter.ImagesPerSecond())
+		out.lossSum += l
+		out.stats.FinalLoss = l
+		out.stats.Steps++
+		if out.stats.Steps == 1 {
+			// The first step grows every scratch buffer; the allocation
+			// meter starts after it so it reflects steady state.
+			runtime.ReadMemStats(&memWarm)
+		}
+		if cfg.LogEvery > 0 && cfg.Log != nil && rank == 0 && (step+1)%cfg.LogEvery == 0 {
+			fmt.Fprintf(cfg.Log, "step %4d  loss %.5f  lr %.2e  %.1f img/s  world %d\n",
+				step+1, l, opt.LR(), meter.ImagesPerSecond(), ws)
+		}
+		if r.ckPath != "" && (step+1 == cfg.Steps || (r.ckEvery > 0 && (step+1)%r.ckEvery == 0)) {
+			ckSpan := rec.Now()
+			if err := writeElasticCheckpoint(r.ckPath, cfg, c, step+1, params, opt, loader); err != nil {
+				out.err = err
+				return
+			}
+			rec.Emit(trace.CatCheckpoint, trace.TrackMain, ckSpan, 0)
+			if tm != nil {
+				tm.Checkpoints.Inc()
+			}
 		}
 	}
-	return results[0].m, results[0].st, nil
+	st := &out.stats
+	st.AvgLoss = out.avgLoss()
+	st.ImagesPerSec = meter.ImagesPerSecond()
+	st.WallSeconds = time.Since(begin).Seconds()
+	if distOpt != nil {
+		if total, n := distOpt.DrainStats(); n > 0 {
+			st.DrainMsPerStep = total.Seconds() * 1e3 / float64(n)
+		}
+	}
+	if st.Steps > 1 {
+		var memEnd runtime.MemStats
+		runtime.ReadMemStats(&memEnd)
+		st.AllocsPerStep = float64(memEnd.Mallocs-memWarm.Mallocs) / float64(st.Steps-1)
+	}
+	// Merge every rank's spans on rank 0 while the world is still
+	// healthy; failed attempts skip this (the trace keeps what each rank
+	// recorded locally).
+	cfg.Trace.Gather(c, 0)
 }
 
 // engineComm prepares the communicator the Horovod engine runs its
@@ -225,124 +433,6 @@ func rankMetrics(cfg Config, rank int) *trace.TrainMetrics {
 		return nil
 	}
 	return cfg.Metrics
-}
-
-// trainRank is the shared per-process loop; comm and engine are nil for
-// single-process training.
-func trainRank(cfg Config, comm *mpi.Comm, engine *horovod.Engine) (*models.EDSR, Stats, error) {
-	rank, world := 0, 1
-	if comm != nil {
-		rank, world = comm.Rank(), comm.Size()
-	}
-	if cfg.Steps < 1 || cfg.BatchSize < 1 {
-		return nil, Stats{}, fmt.Errorf("trainer: invalid config: steps=%d batch=%d", cfg.Steps, cfg.BatchSize)
-	}
-	rng := tensor.NewRNG(cfg.Seed) // same weights on every rank before broadcast
-	model := models.NewEDSR(cfg.Model, rng)
-	params := model.Params()
-	if err := nn.CheckUniqueNames(params); err != nil {
-		return nil, Stats{}, err
-	}
-
-	ds := data.NewDataset(cfg.Data)
-	loader, err := data.NewLoader(ds, data.LoaderConfig{
-		BatchSize: cfg.BatchSize,
-		PatchSize: cfg.PatchSize,
-		Scale:     cfg.Model.Scale,
-		Rank:      rank,
-		WorldSize: world,
-		Seed:      cfg.Seed + 100,
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	var opt nn.Optimizer = nn.NewAdam(params, cfg.LR)
-	schedule := nn.StepLRSchedule{Base: cfg.LR, DecayEvery: cfg.LRDecayEvery, Gamma: 0.5}
-	var dopt interface {
-		Step()
-		ZeroGrad()
-	} = opt
-	var distOpt *horovod.DistributedOptimizer
-	if engine != nil {
-		distOpt = horovod.NewDistributedOptimizer(opt, engine)
-		// Overlap backward with communication: each parameter is submitted
-		// for reduction the moment its backward contribution completes.
-		model.SetGradHook(distOpt.GradHook())
-		engine.Start()
-		defer engine.Shutdown()
-		horovod.BroadcastParameters(comm, params, 0)
-		horovod.ScaleLR(opt, world)
-		schedule.Base = cfg.LR * float64(world)
-		dopt = distOpt
-	}
-
-	rec := cfg.Trace.Recorder(rank)
-	tm := rankMetrics(cfg, rank)
-	if tm != nil {
-		tm.WorldSize.Set(float64(world))
-	}
-	loss := nn.L1Loss{}
-	meter := metrics.ThroughputMeter{WarmupSteps: 1}
-	var lossSum, lastLoss float64
-	var gradBuf *tensor.Tensor
-	var memWarm runtime.MemStats
-	start := time.Now()
-	for step := 0; step < cfg.Steps; step++ {
-		if cfg.LRDecayEvery > 0 {
-			schedule.Apply(opt, step)
-		}
-		batch := loader.Next()
-		stepStart := time.Now()
-		stepSpan := rec.Now()
-		dopt.ZeroGrad()
-		fwdSpan := rec.Now()
-		pred := model.Forward(batch.LR)
-		rec.Emit(trace.CatForward, trace.TrackMain, fwdSpan, 0)
-		l, grad := loss.ForwardBuf(gradBuf, pred, batch.HR)
-		gradBuf = grad
-		bwdSpan := rec.Now()
-		model.Backward(grad)
-		rec.Emit(trace.CatBackward, trace.TrackMain, bwdSpan, 0)
-		dopt.Step()
-		rec.Emit(trace.CatStep, trace.TrackMain, stepSpan, 0)
-		stepDur := time.Since(stepStart)
-		meter.Record(cfg.BatchSize*world, stepDur.Seconds())
-		tm.ObserveStep(cfg.BatchSize*world, stepDur, meter.ImagesPerSecond())
-		lossSum += l
-		lastLoss = l
-		if step == 0 {
-			// Step 0 grows every scratch buffer; the allocation meter
-			// starts after it so it reflects steady state.
-			runtime.ReadMemStats(&memWarm)
-		}
-		if cfg.LogEvery > 0 && cfg.Log != nil && (step+1)%cfg.LogEvery == 0 && rank == 0 {
-			fmt.Fprintf(cfg.Log, "step %4d  loss %.5f  lr %.2e  %.1f img/s\n",
-				step+1, l, opt.LR(), meter.ImagesPerSecond())
-		}
-	}
-	st := Stats{
-		Steps:        cfg.Steps,
-		FinalLoss:    lastLoss,
-		AvgLoss:      lossSum / float64(cfg.Steps),
-		ImagesPerSec: meter.ImagesPerSecond(),
-		WallSeconds:  time.Since(start).Seconds(),
-	}
-	if distOpt != nil {
-		if total, n := distOpt.DrainStats(); n > 0 {
-			st.DrainMsPerStep = total.Seconds() * 1e3 / float64(n)
-		}
-	}
-	if cfg.Steps > 1 {
-		var memEnd runtime.MemStats
-		runtime.ReadMemStats(&memEnd)
-		st.AllocsPerStep = float64(memEnd.Mallocs-memWarm.Mallocs) / float64(cfg.Steps-1)
-	}
-	if comm != nil {
-		// Merge every rank's spans on rank 0 before the world tears down.
-		cfg.Trace.Gather(comm, 0)
-	}
-	return model, st, nil
 }
 
 // Evaluate computes mean PSNR of the model's super-resolution and of
@@ -421,7 +511,9 @@ func SaveCheckpoint(path string, model *models.EDSR, cfg Config) error {
 	return atomicWriteGob(path, &ck)
 }
 
-// LoadCheckpoint restores a model saved by SaveCheckpoint.
+// LoadCheckpoint restores a model saved by SaveCheckpoint or from the
+// full training state a checkpointed TrainElastic run writes: gob matches
+// the shared Config/Names/Values fields and skips the rest.
 func LoadCheckpoint(path string) (*models.EDSR, Config, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -433,18 +525,27 @@ func LoadCheckpoint(path string) (*models.EDSR, Config, error) {
 		return nil, Config{}, err
 	}
 	model := models.NewEDSR(ck.Config.Model, tensor.NewRNG(1))
-	params := model.Params()
-	if len(params) != len(ck.Names) {
-		return nil, Config{}, fmt.Errorf("trainer: checkpoint has %d tensors, model %d", len(ck.Names), len(params))
-	}
-	for i, p := range params {
-		if p.Name != ck.Names[i] {
-			return nil, Config{}, fmt.Errorf("trainer: checkpoint tensor %q does not match model %q", ck.Names[i], p.Name)
-		}
-		if !p.Value.SameShape(ck.Values[i]) {
-			return nil, Config{}, fmt.Errorf("trainer: shape mismatch for %q", p.Name)
-		}
-		p.Value.CopyFrom(ck.Values[i])
+	if err := restoreParams(model.Params(), ck.Names, ck.Values); err != nil {
+		return nil, Config{}, err
 	}
 	return model, ck.Config, nil
+}
+
+// restoreParams copies checkpointed tensors into params after checking
+// that the checkpoint names the same tensors, in the same order, with
+// the same shapes.
+func restoreParams(params []*nn.Param, names []string, values []*tensor.Tensor) error {
+	if len(params) != len(names) || len(values) != len(names) {
+		return fmt.Errorf("trainer: checkpoint has %d tensors, model %d", len(names), len(params))
+	}
+	for i, p := range params {
+		if p.Name != names[i] {
+			return fmt.Errorf("trainer: checkpoint tensor %q does not match model %q", names[i], p.Name)
+		}
+		if !p.Value.SameShape(values[i]) {
+			return fmt.Errorf("trainer: shape mismatch for %q", p.Name)
+		}
+		p.Value.CopyFrom(values[i])
+	}
+	return nil
 }

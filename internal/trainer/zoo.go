@@ -61,7 +61,7 @@ type ZooConfig struct {
 // SRResNet learn the upscaling themselves; SRCNN refines a bicubic
 // upscale, so its preprocessing blows the LR patch up first.
 func (z ZooConfig) Build(rng *tensor.RNG) (SRModel, func(lr *tensor.Tensor) *tensor.Tensor, error) {
-	pre := func(lr *tensor.Tensor) *tensor.Tensor { return lr }
+	pre := identity
 	switch z.Arch {
 	case ArchEDSR:
 		cfg := models.EDSRConfig{NumBlocks: z.Blocks, NumFeats: z.Feats, Scale: z.Scale, ResScale: 0.1, Colors: 3}
@@ -107,47 +107,20 @@ type ZooResult struct {
 	PSNRBicubic float64
 }
 
-// TrainZoo trains one architecture on the synthetic dataset and evaluates
-// PSNR against ground truth and the bicubic baseline on held-out images.
+// TrainZoo trains one architecture on the synthetic dataset through the
+// shared training loop at world size 1, then evaluates PSNR against
+// ground truth and the bicubic baseline on held-out images.
 func TrainZoo(z ZooConfig, evalImages int) (ZooResult, error) {
 	cfg := z.Train
-	if cfg.Steps < 1 || cfg.BatchSize < 1 {
-		return ZooResult{}, fmt.Errorf("trainer: invalid zoo config %+v", cfg)
-	}
-	rng := tensor.NewRNG(cfg.Seed)
-	model, pre, err := z.Build(rng)
+	r := newRun(cfg, 1)
+	r.build, r.scale = z.Build, z.Scale
+	p, _, err := r.attempt()
 	if err != nil {
 		return ZooResult{}, err
 	}
-	ds := data.NewDataset(cfg.Data)
-	loader, err := data.NewLoader(ds, data.LoaderConfig{
-		BatchSize: cfg.BatchSize,
-		PatchSize: cfg.PatchSize,
-		Scale:     z.Scale,
-		Rank:      0,
-		WorldSize: 1,
-		Seed:      cfg.Seed + 100,
-	})
-	if err != nil {
-		return ZooResult{}, err
-	}
-	opt := nn.NewAdam(model.Params(), cfg.LR)
-	loss := nn.L1Loss{}
-	var last float64
-	for step := 0; step < cfg.Steps; step++ {
-		batch := loader.Next()
-		opt.ZeroGrad()
-		pred := model.Forward(pre(batch.LR))
-		l, grad := loss.Forward(pred, batch.HR)
-		model.Backward(grad)
-		opt.Step()
-		last = l
-		if cfg.LogEvery > 0 && cfg.Log != nil && (step+1)%cfg.LogEvery == 0 {
-			fmt.Fprintf(cfg.Log, "[%s] step %4d  loss %.5f\n", z.Arch, step+1, l)
-		}
-	}
+	model, pre := p.model, p.pre
 
-	res := ZooResult{Arch: z.Arch, Params: model.NumParams(), FinalLoss: last}
+	res := ZooResult{Arch: z.Arch, Params: model.NumParams(), FinalLoss: p.stats.FinalLoss}
 	eval := data.NewDataset(data.SyntheticConfig{
 		Images: cfg.Data.Images + evalImages, Height: cfg.Data.Height,
 		Width: cfg.Data.Width, Channels: cfg.Data.Channels, Seed: cfg.Data.Seed,
